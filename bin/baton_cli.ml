@@ -614,8 +614,9 @@ let heat_render path overlay_filter mix_filter =
   end
 
 (* Bench regression gate: exact on the simulated sections, tolerance on
-   the wall-clock throughput. Exit 0 pass, 1 simulated/schema mismatch
-   (behaviour change), 2 throughput regression, 3 unreadable input. *)
+   the wall-clock throughput and the minor words per event. Exit 0 pass,
+   1 simulated/schema mismatch (behaviour change), 2 throughput
+   regression, 3 unreadable input, 4 allocation regression. *)
 let bench_diff old_path new_path max_regress =
   let read path =
     match In_channel.with_open_text path In_channel.input_all with
@@ -1011,9 +1012,11 @@ let bench_diff_cmd =
     "Compare two bench-run documents as a regression gate: every simulated \
      (seed-deterministic) field must match byte-exactly — any drift is a \
      behaviour change — while wall-clock event throughput inside the \
-     $(b,profile) sections may regress up to $(b,--max-regress) percent. \
-     Exit status: 0 pass, 1 schema/simulated mismatch, 2 throughput \
-     regression, 3 unreadable input."
+     $(b,profile) sections may regress up to $(b,--max-regress) percent \
+     and minor words per event ($(b,profile.gc.minor_words) over \
+     $(b,profile.events)) may grow by at most 10%. Exit status: 0 pass, \
+     1 schema/simulated mismatch, 2 throughput regression, 3 unreadable \
+     input, 4 allocation regression."
   in
   Cmd.v (Cmd.info "bench-diff" ~doc)
     Term.(

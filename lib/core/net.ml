@@ -376,6 +376,14 @@ let wait_hop t ~src ~dst ~kind outcome =
   | None -> ()
   | Some w -> w ~src ~dst ~kind ~outcome
 
+(* Record one transmission in the causal trace; a no-op without a
+   tracer or outside an episode ([ctx] is [None]). *)
+let trace_record t ctx ~src ~dst ~kind ~link ~dst_level ~sent outcome =
+  match (t.tracer, ctx) with
+  | Some tr, Some ctx ->
+    Trace.record tr ~ctx ~src ~dst ~msg:kind ~link ~dst_level ~sent ~outcome
+  | _ -> ()
+
 (* Retransmit on Timeout, up to [retry_limit] extra attempts. Every
    attempt passes over the bus and is counted — the paper's message
    metric stays honest under retries. Unreachable (permanent crash)
@@ -383,62 +391,59 @@ let wait_hop t ~src ~dst ~kind outcome =
    protocols have dedicated detour logic for it — though discovering
    the silence still costs the sender a timeout interval under the
    runtime's clock, so the hop hook fires before the exception
-   escapes. *)
+   escapes.
+
+   The one loop serves traced and untraced sends alike, and allocates
+   nothing of its own when no tracer is installed: the hop path of
+   every operation runs through it. *)
 let send_raw t ~src ~dst ~kind =
-  let ev = Bus.metrics t.bus in
   (* Classified once, before the first transmission: the links that
      explain the route choice are the ones in place when the sender
      picked the destination. Pure reads — tracing consults no PRNG. *)
-  let link, dst_level =
+  let link =
     match t.tracer with
-    | None -> (Msg.link_other, -1)
-    | Some _ -> (link_kind t ~src ~dst ~kind, peer_level t dst)
+    | None -> Msg.link_other
+    | Some _ -> link_kind t ~src ~dst ~kind
+  and dst_level =
+    match t.tracer with None -> -1 | Some _ -> peer_level t dst
   in
-  let rec attempt k =
+  let retries = ref 0 and sending = ref true in
+  while !sending do
     (* Each attempt is its own span under the ambient parent: a retry
        is a sibling of the attempt that timed out, not its child — the
        failed attempt caused nothing downstream. *)
-    let ctx, sent =
-      match t.tracer with
-      | None -> (None, 0.)
-      | Some tr -> (Trace.next_ctx tr, Trace.time tr)
-    in
-    let record outcome =
-      match (t.tracer, ctx) with
-      | Some tr, Some ctx ->
-        Trace.record tr ~ctx ~src ~dst ~msg:kind ~link ~dst_level ~sent
-          ~outcome
-      | _ -> ()
-    in
+    let ctx = match t.tracer with None -> None | Some tr -> Trace.next_ctx tr
+    and sent = match t.tracer with None -> 0. | Some tr -> Trace.time tr in
     match Bus.send ?ctx t.bus ~src ~dst ~kind with
-    | () ->
+    | () -> (
+      sending := false;
       wait_hop t ~src ~dst ~kind Delivered;
       heat_hop t ~dst ~kind;
       (* Recorded after the wait, so [done_at] is the delivery instant
          under the runtime's clock; the delivered message becomes the
          ambient causal parent of whatever the receiver does next. *)
-      record Trace.Delivered;
-      (match (t.tracer, ctx) with
+      trace_record t ctx ~src ~dst ~kind ~link ~dst_level ~sent Trace.Delivered;
+      match (t.tracer, ctx) with
       | Some tr, Some ctx -> Trace.advance tr ctx
       | _ -> ())
-    | exception Bus.Timeout _ when k < t.retry_limit ->
-      Metrics.event ev Msg.ev_retry;
+    | exception Bus.Timeout _ when !retries < t.retry_limit ->
+      incr retries;
+      Metrics.event (Bus.metrics t.bus) Msg.ev_retry;
       (match t.recorder with Some r -> Recorder.retry r ~peer:dst | None -> ());
       wait_hop t ~src ~dst ~kind Timed_out;
-      record Trace.Timed_out;
-      attempt (k + 1)
+      trace_record t ctx ~src ~dst ~kind ~link ~dst_level ~sent Trace.Timed_out
     | exception (Bus.Timeout _ as e) ->
-      Metrics.event ev Msg.ev_give_up;
+      Metrics.event (Bus.metrics t.bus) Msg.ev_give_up;
       obs_note ~peer:dst t Msg.ev_give_up;
       wait_hop t ~src ~dst ~kind Timed_out;
-      record Trace.Timed_out;
+      trace_record t ctx ~src ~dst ~kind ~link ~dst_level ~sent Trace.Timed_out;
       raise e
     | exception (Bus.Unreachable _ as e) ->
       wait_hop t ~src ~dst ~kind Timed_out;
-      record Trace.Unreachable;
+      trace_record t ctx ~src ~dst ~kind ~link ~dst_level ~sent
+        Trace.Unreachable;
       raise e
-  in
-  attempt 0
+  done
 
 let send t ~src ~dst ~kind =
   send_raw t ~src ~dst ~kind;

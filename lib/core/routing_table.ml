@@ -62,7 +62,7 @@ let find t p =
     if j >= n then None
     else
       match t.slots.(j) with
-      | Some info when p info -> Some info
+      | Some info as slot when p info -> slot
       | Some _ | None -> loop (j + 1)
   in
   loop 0
@@ -72,7 +72,7 @@ let find_farthest t p =
     if j < 0 then None
     else
       match t.slots.(j) with
-      | Some info when p info -> Some info
+      | Some info as slot when p info -> slot
       | Some _ | None -> loop (j - 1)
   in
   loop (size t - 1)

@@ -23,30 +23,46 @@ exception Routing_stuck of int
    around stale links. *)
 let hop_budget net = 64 + (4 * (1 + Net.size net))
 
-(* Ordered candidate next hops towards [v] from [node], per the
-   paper's algorithm: the farthest admissible routing-table neighbour
-   first, then the nearer admissible sideways entries, then the child
-   and adjacent node on the target's side. An empty list means [node]
-   is the boundary node that would expand for out-of-range values
-   (Section IV-C). *)
-let candidates (node : Node.t) v =
+type next_hop = Hop of Link.info | Exhausted | Boundary
+
+let admissible side v (i : Link.info) =
+  match side with
+  | `Right -> i.Link.range.Range.lo <= v
+  | `Left -> i.Link.range.Range.hi > v
+
+let fresh tried (i : Link.info) = not (List.mem i.Link.peer tried)
+
+(* The next hop towards [v] from [node], per the paper's algorithm: the
+   farthest admissible routing-table neighbour, then the nearer
+   admissible sideways entries, then the child and the adjacent node on
+   the target's side — skipping the peers in [tried], which timed out
+   from [node] on this visit. When every forward link has timed out the
+   parent is the escape hop, one more of Section III-D's alternative
+   paths. [Boundary] means [node] has no forward link at all: it is the
+   boundary node that would expand for out-of-range values (Section
+   IV-C). Scans the links in place; only the answer is allocated. *)
+let next_hop (node : Node.t) v ~tried =
   let side = if Range.is_left_of node.Node.range v then `Right else `Left in
-  let admissible (i : Link.info) =
-    match side with
-    | `Right -> i.Link.range.Range.lo <= v
-    | `Left -> i.Link.range.Range.hi > v
-  in
-  let sideways =
-    Routing_table.entries (Node.table node side)
-    |> List.rev_map snd
-    |> List.filter admissible
-  in
-  let structural =
-    List.filter_map
-      (fun l -> l)
-      [ Node.child node side; Node.adjacent node side ]
-  in
-  sideways @ structural
+  let table = Node.table node side in
+  match
+    Routing_table.find_farthest table (fun i ->
+        admissible side v i && fresh tried i)
+  with
+  | Some i -> Hop i
+  | None -> (
+    match (Node.child node side, Node.adjacent node side) with
+    | Some i, _ when fresh tried i -> Hop i
+    | _, Some i when fresh tried i -> Hop i
+    | None, None
+      when Option.is_none
+             (Routing_table.find_farthest table (admissible side v)) ->
+      Boundary
+    | _ -> (
+      (* Some forward link exists and every one was tried, so [tried]
+         is not empty: escape upwards. *)
+      match Node.parent node with
+      | Some p when fresh tried p -> Hop p
+      | Some _ | None -> Exhausted))
 
 let exact_walk net ~kind ~from v =
   let budget = hop_budget net in
@@ -65,27 +81,16 @@ let exact_walk net ~kind ~from v =
     if Range.contains node.Node.range v then (node, hops, arrived)
     else if hops > budget then raise (Routing_stuck hops)
     else
-      match candidates node v with
-      | [] -> (node, hops, arrived)
-      | primary -> (
-        let fresh (i : Link.info) = not (List.mem i.Link.peer tried) in
-        (* When every forward link has timed out, escape upwards via
-           the parent — one more of Section III-D's alternative paths —
-           before declaring the neighbourhood silent. *)
-        let escape =
-          match Node.parent node with
-          | Some p when tried <> [] -> [ p ]
-          | Some _ | None -> []
-        in
-        match List.filter fresh (primary @ escape) with
-        | [] ->
-          (* Every alternative timed out too. Treat the silent peers
-             like dead ones: drop them, rebuild through survivors, and
-             route on. *)
-          List.iter (Node.drop_links_for_peer node) tried;
-          Wiring.rebuild_links ~skip_failed:true net node ~kind;
-          loop node (hops + 1) ~tried:[] ~arrived
-        | target :: _ -> (
+      match next_hop node v ~tried with
+      | Boundary -> (node, hops, arrived)
+      | Exhausted ->
+        (* Every alternative timed out too. Treat the silent peers like
+           dead ones: drop them, rebuild through survivors, and route
+           on. *)
+        List.iter (Node.drop_links_for_peer node) tried;
+        Wiring.rebuild_links ~skip_failed:true net node ~kind;
+        loop node (hops + 1) ~tried:[] ~arrived
+      | Hop target -> (
         match Net.send net ~src:node.Node.id ~dst:target.Link.peer ~kind with
         | next -> loop next (hops + 1) ~tried:[] ~arrived:true
         | exception Bus.Unreachable dead ->
@@ -107,7 +112,7 @@ let exact_walk net ~kind ~from v =
           (* The target peer left the network and the link is stale. *)
           Node.drop_links_for_peer node target.Link.peer;
           Wiring.rebuild_links ~skip_failed:true net node ~kind;
-          loop node (hops + 1) ~tried:[] ~arrived))
+          loop node (hops + 1) ~tried:[] ~arrived)
   in
   loop from 0 ~tried:[] ~arrived:false
 
@@ -218,12 +223,13 @@ let exact_routed net ~kind ~from v =
    retransmissions hidden inside them. *)
 let measured net f =
   let m = Net.metrics net in
-  let cp = Metrics.checkpoint m in
+  let sent0 = Metrics.total m + Metrics.aux_total m
+  and retries0 = Metrics.event_count m Msg.ev_retry in
   let r = f () in
   {
     r with
-    msgs = Metrics.since m cp + Metrics.aux_since m cp;
-    retries = Metrics.event_since m cp Msg.ev_retry;
+    msgs = Metrics.total m + Metrics.aux_total m - sent0;
+    retries = Metrics.event_count m Msg.ev_retry - retries0;
   }
 
 (* A standalone exact-match query is its own span; walks on behalf of a
@@ -269,20 +275,22 @@ let lookup net ~from v =
 
 (* What one directional adjacent-link sweep produces; opaque to
    callers, who only thread it through a [par] runner. *)
-type sweep_outcome = int list list * int * int * (int * int) list
+type sweep_outcome = Sorted_store.view list * int * int * (int * int) list
 
 type par = (unit -> sweep_outcome) -> (unit -> sweep_outcome) -> sweep_outcome * sweep_outcome
 
 (* Collect matching keys from one direction of adjacent links, starting
-   at (and excluding) [node]. Returns (keys in visit order, peers
-   visited, messages paid, unreachable sub-intervals). A dead or silent
+   at (and excluding) [node]. Returns (the visited peers' store views,
+   latest visit first; peers visited, messages paid, unreachable
+   sub-intervals). A view is the store as it stood at the visit, so
+   reading the keys out later returns what the visit would have. A dead or silent
    adjacent peer no longer aborts the scan: the current node drops the
    link, bridges the gap through its surviving neighbourhood, and
    carries on — recording the skipped peer's cached range as a *hole*
    when it intersected the query, so callers learn not just that the
    answer is partial but exactly which sub-interval is missing. *)
 let sweep net (node : Node.t) side ~lo ~hi =
-  let keys = ref [] and visited = ref 0 and msgs = ref 0 in
+  let views = ref [] and visited = ref 0 and msgs = ref 0 in
   (* Unreachable sub-intervals, half-open and clipped to the query;
      overlap-merged by the caller. *)
   let holes = ref [] in
@@ -349,7 +357,7 @@ let sweep net (node : Node.t) side ~lo ~hi =
             | `Left -> (next_node.Node.range.Range.hi, n.Node.range.Range.lo)
           in
           if gap_lo < gap_hi then add_hole gap_lo gap_hi;
-          keys := Sorted_store.keys_in next_node.Node.store ~lo ~hi :: !keys;
+          views := Sorted_store.view next_node.Node.store :: !views;
           go next_node 0
         | exception Bus.Unreachable dead ->
           (* The peer is gone and its data with it. *)
@@ -368,7 +376,7 @@ let sweep net (node : Node.t) side ~lo ~hi =
           bridge ~data_lost:false)
   in
   go node 0;
-  (!keys, !visited, !msgs, !holes)
+  (!views, !visited, !msgs, !holes)
 
 let range_walk ?par net ~from ~lo ~hi =
   (* Find any node intersecting the interval, then per the paper
@@ -395,26 +403,27 @@ let range_walk ?par net ~from ~lo ~hi =
         let node, hops, cached = locate hi in
         (node, hops + h1 + h2, cached))
   in
-  let here = Sorted_store.keys_in node.Node.store ~lo ~hi in
+  let here = Sorted_store.view node.Node.store in
   (* One access per range operation, recorded at the first serving
      node; the histogram heats every overlapped bucket. *)
   Net.heat_access_range net ~peer:node.Node.id ~lo ~hi;
   let sweep_left () = sweep net node `Left ~lo ~hi in
   let sweep_right () = sweep net node `Right ~lo ~hi in
-  let ( (left_keys, left_visited, left_msgs, left_holes),
-        (right_keys, right_visited, right_msgs, right_holes) ) =
+  let ( (left_views, left_visited, left_msgs, left_holes),
+        (right_views, right_visited, right_msgs, right_holes) ) =
     match par with
     | None ->
       let l = sweep_left () in
       (l, sweep_right ())
     | Some p -> p sweep_left sweep_right
   in
-  (* Each sweep prepends per-node blocks as it walks outwards, so the
-     left sweep's list is already ascending (farthest-left block ends
-     up first) while the right sweep's needs reversing. *)
-  let keys =
-    List.concat left_keys @ here @ List.concat (List.rev right_keys)
-  in
+  (* The answer is built once, right to left, so each key is consed
+     once. Each sweep lists its views latest visit first: the right
+     sweep's head is the farthest-right peer, the left sweep's last
+     element is the nearest-left one. *)
+  let prepend acc v = Sorted_store.prepend_keys_in v ~lo ~hi acc in
+  let keys = prepend (List.fold_left prepend [] right_views) here in
+  let keys = List.fold_right (fun v acc -> prepend acc v) left_views keys in
   (* Normalize the holes: ascending, overlaps merged (the same dead
      peer can surface twice — once from its stale link range, once as
      the tiling gap the detour hopped over). *)

@@ -66,6 +66,23 @@ exception Routing_stuck of int
     protocol's tolerance; never in a quiescent network. Carries the
     hop count. *)
 
+type next_hop =
+  | Hop of Link.info  (** forward to this link's peer *)
+  | Exhausted
+      (** forward links exist but every one, and the parent, was tried *)
+  | Boundary
+      (** no forward link at all: the boundary node that would expand
+          for an out-of-range value (Section IV-C) *)
+
+val next_hop : Node.t -> int -> tried:int list -> next_hop
+(** [next_hop node v ~tried] is the routing step from [node] towards
+    [v]: the farthest admissible sideways entry, then the nearer ones,
+    then the child and the adjacent node on [v]'s side, skipping the
+    peers in [tried] (those that timed out from [node] on this visit);
+    the parent is the escape hop once every forward link was tried.
+    [node] must not own [v]. Reads the links in place and allocates
+    only its answer. *)
+
 val exact : ?kind:string -> Net.t -> from:Node.t -> int -> result
 (** [exact net ~from v] routes from [from] to the node whose range
     contains [v]. For values outside the current global range the

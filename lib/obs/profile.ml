@@ -27,6 +27,10 @@ type t = {
   regions : (string, region) Hashtbl.t;
   started : float;
   gc0 : Gc.stat;
+  (* [Gc.quick_stat]'s minor_words only advances when a minor
+     collection runs, so it counts whole minor heaps; [Gc.minor_words]
+     reads the allocation pointer and is exact. *)
+  minor0 : float;
   mutable stopped : float option;
 }
 
@@ -43,6 +47,7 @@ let create () =
     regions = Hashtbl.create 16;
     started = Unix.gettimeofday ();
     gc0 = Gc.quick_stat ();
+    minor0 = Gc.minor_words ();
     stopped = None;
   }
 
@@ -111,7 +116,7 @@ let gc_json t =
       ("minor_collections", Json.Int (g.minor_collections - g0.minor_collections));
       ("major_collections", Json.Int (g.major_collections - g0.major_collections));
       ("compactions", Json.Int (g.compactions - g0.compactions));
-      ("minor_words", Json.Float (g.minor_words -. g0.minor_words));
+      ("minor_words", Json.Float (Gc.minor_words () -. t.minor0));
       ("promoted_words", Json.Float (g.promoted_words -. g0.promoted_words));
       ("major_words", Json.Float (g.major_words -. g0.major_words));
       ("top_heap_words", Json.Int g.top_heap_words);

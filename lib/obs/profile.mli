@@ -112,7 +112,9 @@ val now_ms : unit -> float
 
 val gc_json : t -> Json.t
 (** GC pressure since [create]: minor/major/compaction counts and
-    minor/promoted/major word deltas, plus the current top-heap size. *)
+    minor/promoted/major word deltas, plus the current top-heap size.
+    The minor-word delta is exact ([Gc.minor_words]); the other counts
+    come from [Gc.quick_stat]. *)
 
 val json : t -> Json.t
 (** The bench report's [profile] section: total wall ms, events,

@@ -1,5 +1,6 @@
 (* Bench regression gate: exact comparison of the simulated sections,
-   tolerance comparison of the wall-clock throughput.
+   tolerance comparison of the wall-clock throughput and of the
+   allocation per event.
 
    The split mirrors the determinism boundary drawn in [Driver]: every
    report field outside "profile" is a pure function of the seed, so
@@ -7,7 +8,10 @@
    there is a behaviour change the gate should fail loudly on, with the
    path of the first drifted leaves. The "profile" subtree is the host
    machine talking (wall clock, GC), so it is stripped from the exact
-   comparison and only its events_per_s is checked, against a floor. *)
+   comparison. Two of its numbers are gated: events_per_s against a
+   loose floor, since wall clock moves with the host; and minor words
+   per event against a tight ceiling, since for a given binary they
+   repeat to the word. *)
 
 module Json = Baton_obs.Json
 
@@ -16,6 +20,7 @@ type verdict =
   | Schema_mismatch of { old_schema : string; new_schema : string }
   | Simulated_mismatch of string list
   | Throughput_regress of string list
+  | Alloc_regress of string list
 
 let rec strip_profile (j : Json.t) =
   match j with
@@ -112,11 +117,26 @@ let labeled_runs doc =
       List.mapi (fun i run -> (mix_of i run, run)) runs
     | _ -> [])
 
-let events_per_s_of run =
-  match Option.bind (Json.member "profile" run) (Json.member "events_per_s") with
+let max_alloc_ratio = 1.10
+
+let number = function
   | Some (Json.Float f) -> Some f
   | Some (Json.Int i) -> Some (float_of_int i)
   | Some _ | None -> None
+
+let events_per_s_of run =
+  number (Option.bind (Json.member "profile" run) (Json.member "events_per_s"))
+
+let words_per_event_of run =
+  match Json.member "profile" run with
+  | None -> None
+  | Some p -> (
+    match
+      ( number (Option.bind (Json.member "gc" p) (Json.member "minor_words")),
+        number (Json.member "events" p) )
+    with
+    | Some words, Some events when events > 0. -> Some (words /. events)
+    | _ -> None)
 
 let compare ~max_regress_pct ~old_doc ~new_doc =
   if max_regress_pct < 0. then
@@ -140,24 +160,39 @@ let compare ~max_regress_pct ~old_doc ~new_doc =
     else begin
       (* Simulated sections are identical, so the run lists pair up
          one-to-one; only the wall-clock throughput can still differ. *)
-      let details = ref [] and regressions = ref [] in
+      let details = ref [] and regressions = ref [] and alloc = ref [] in
       List.iter
         (fun ((label, old_run), (_, new_run)) ->
+          (* One detail line per run: throughput, then allocation. *)
+          let words =
+            match (words_per_event_of old_run, words_per_event_of new_run) with
+            | Some old_wpe, Some new_wpe ->
+              let ceiling = old_wpe *. max_alloc_ratio in
+              let note =
+                Printf.sprintf "%.1f -> %.1f minor words/event (ceiling %.1f)"
+                  old_wpe new_wpe ceiling
+              in
+              if new_wpe > ceiling then alloc := (label ^ ": " ^ note) :: !alloc;
+              ", " ^ note
+            | _, _ -> ""
+          in
           match (events_per_s_of old_run, events_per_s_of new_run) with
           | Some old_eps, Some new_eps when old_eps > 0. ->
             let floor = old_eps *. (1. -. (max_regress_pct /. 100.)) in
             let line =
-              Printf.sprintf "%s: %.0f -> %.0f events/s (floor %.0f)" label
-                old_eps new_eps floor
+              Printf.sprintf "%s: %.0f -> %.0f events/s (floor %.0f)%s" label
+                old_eps new_eps floor words
             in
             if new_eps < floor then regressions := line :: !regressions
             else details := line :: !details
           | _, _ ->
             details :=
-              (label ^ ": no throughput sample on one side, check skipped")
+              (label ^ ": no throughput sample on one side, check skipped"
+             ^ words)
               :: !details)
         (List.combine (labeled_runs old_doc) (labeled_runs new_doc));
-      if !regressions <> [] then Throughput_regress (List.rev !regressions)
+      if !alloc <> [] then Alloc_regress (List.rev !alloc)
+      else if !regressions <> [] then Throughput_regress (List.rev !regressions)
       else Pass { details = List.rev !details }
     end
   end
@@ -166,6 +201,7 @@ let exit_code = function
   | Pass _ -> 0
   | Schema_mismatch _ | Simulated_mismatch _ -> 1
   | Throughput_regress _ -> 2
+  | Alloc_regress _ -> 4
 
 let render = function
   | Pass { details } ->
@@ -180,3 +216,5 @@ let render = function
       ("bench-diff: SIMULATED METRICS DIFFER (behaviour change)" :: lines)
   | Throughput_regress lines ->
     String.concat "\n" ("bench-diff: THROUGHPUT REGRESSION" :: lines)
+  | Alloc_regress lines ->
+    String.concat "\n" ("bench-diff: ALLOCATION REGRESSION" :: lines)

@@ -26,6 +26,10 @@ type verdict =
   | Throughput_regress of string list
       (** simulated sections identical but at least one run's
           [profile.events_per_s] fell below the allowed floor *)
+  | Alloc_regress of string list
+      (** simulated sections identical but at least one run allocates
+          more than {!max_alloc_ratio} times the baseline's minor words
+          per event ([profile.gc.minor_words / profile.events]) *)
 
 val strip_profile : Baton_obs.Json.t -> Baton_obs.Json.t
 (** Remove every ["profile"] field, recursively — the document minus
@@ -37,6 +41,12 @@ val diff_paths :
     [$.path: old vs new] lines (at most [limit], default 20), plus the
     total count found. [([], 0)] iff the trees are equal. *)
 
+val max_alloc_ratio : float
+(** 1.10: the ceiling on a run's minor words per event, relative to the
+    baseline's. The count is exact ({!Baton_obs.Profile.gc_json}) and
+    repeats to the word for a given binary and seed, so the bound only
+    absorbs changes in the OCaml runtime, not noise. *)
+
 val compare :
   max_regress_pct:float ->
   old_doc:Baton_obs.Json.t ->
@@ -45,7 +55,10 @@ val compare :
 (** Gate [new_doc] against the baseline [old_doc]. Checks, in order:
     matching ["schema"] fields; byte-exact simulated sections (after
     {!strip_profile}); then, for each run pair where both sides carry a
-    profile, [new events_per_s >= old * (1 - max_regress_pct / 100)].
+    profile, minor words per event at most {!max_alloc_ratio} times the
+    old run's, and
+    [new events_per_s >= old * (1 - max_regress_pct / 100)]. An
+    allocation regression is reported ahead of a throughput one.
     Runs are gathered from the v6 per-overlay sections (labeled
     ["overlay/mix"] in every detail line), falling back to a v5-style
     top-level run list (labeled by mix) so two pre-v6 baselines still
@@ -55,8 +68,9 @@ val compare :
     @raise Invalid_argument if [max_regress_pct] is negative. *)
 
 val exit_code : verdict -> int
-(** [Pass] = 0, [Throughput_regress] = 2, mismatches = 1 — so scripts
-    can distinguish "the machine got slower" from "the behaviour
+(** [Pass] = 0, mismatches = 1, [Throughput_regress] = 2,
+    [Alloc_regress] = 4 — so scripts can distinguish "the machine got
+    slower" and "the program allocates more" from "the behaviour
     changed". *)
 
 val render : verdict -> string

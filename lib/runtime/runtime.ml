@@ -29,9 +29,11 @@ type t = {
   timeout_ms : float;
   net : Net.t;
   (* Per-destination in-flight message accounting: a message is "in
-     the queue" of its destination from transmission to delivery. *)
-  inflight : (int, int) Hashtbl.t;
-  depth_max : (int, int) Hashtbl.t;
+     the queue" of its destination from transmission to delivery. Dense
+     by peer id, like [Metrics]' per-node counters: ids are small
+     consecutive ints, so a hop costs two array cells and no lookup. *)
+  mutable inflight : int array;
+  mutable depth_max : int array;
   mutable live_fibers : int;
 }
 
@@ -52,8 +54,8 @@ let create ?(timeout_ms = default_timeout_ms) ?latency net =
     latency;
     timeout_ms;
     net;
-    inflight = Hashtbl.create 1024;
-    depth_max = Hashtbl.create 1024;
+    inflight = [||];
+    depth_max = [||];
     live_fibers = 0;
   }
 
@@ -174,36 +176,38 @@ let spawn ?at t f ~on_done =
 
 (* --- Hop suspension ------------------------------------------------- *)
 
-let bump tbl key delta =
-  let v = delta + Option.value ~default:0 (Hashtbl.find_opt tbl key) in
-  Hashtbl.replace tbl key v;
-  v
+(* A zero-filled copy of [a] covering index [i], grown by doubling. *)
+let grown a i =
+  let a' = Array.make (max 64 (max (i + 1) (2 * Array.length a))) 0 in
+  Array.blit a 0 a' 0 (Array.length a);
+  a'
 
 let hop_wait t : Net.hop_wait =
  fun ~src ~dst ~kind:_ ~outcome ->
-  let delay =
-    match outcome with
-    | Net.Delivered ->
-      (* A gray endpoint stretches the delivery: the pair's base
-         latency times the worse endpoint's slowdown factor (1.0 when
-         neither end is gray — see [Bus.latency_factor]). *)
+  match outcome with
+  | Net.Delivered ->
+    (* A gray endpoint stretches the delivery: the pair's base latency
+       times the worse endpoint's slowdown factor (1.0 when neither end
+       is gray — see [Bus.latency_factor]). *)
+    let delay =
       Latency.of_pair t.latency ~src ~dst
       *. Baton_sim.Bus.latency_factor (Net.bus t.net) ~src ~dst
-    | Net.Timed_out ->
-      (* The sender learns nothing until its retransmission timer
-         fires; the destination's queue is not charged. *)
-      t.timeout_ms
-  in
-  (match outcome with
-  | Net.Delivered ->
-    let d = bump t.inflight dst 1 in
-    if d > Option.value ~default:0 (Hashtbl.find_opt t.depth_max dst) then
-      Hashtbl.replace t.depth_max dst d
-  | Net.Timed_out -> ());
-  Effect.perform (Wait delay);
-  match outcome with
-  | Net.Delivered -> ignore (bump t.inflight dst (-1) : int)
-  | Net.Timed_out -> ()
+    in
+    if dst >= Array.length t.inflight then begin
+      t.inflight <- grown t.inflight dst;
+      t.depth_max <- grown t.depth_max dst
+    end;
+    let d = t.inflight.(dst) + 1 in
+    t.inflight.(dst) <- d;
+    if d > t.depth_max.(dst) then t.depth_max.(dst) <- d;
+    Effect.perform (Wait delay);
+    (* Re-read the field: another fiber may have grown the array while
+       this one waited. *)
+    t.inflight.(dst) <- t.inflight.(dst) - 1
+  | Net.Timed_out ->
+    (* The sender learns nothing until its retransmission timer fires;
+       the destination's queue is not charged. *)
+    Effect.perform (Wait t.timeout_ms)
 
 (* Drive every spawned fiber to completion. The hop hook is installed
    only for the duration of the run: outside it (setup, teardown,
@@ -216,19 +220,24 @@ let run t =
 
 (* --- Queue-depth statistics ---------------------------------------- *)
 
+(* Only destinations that ever received a message have a depth (at
+   least 1). *)
 let queue_depths t =
-  Hashtbl.fold (fun node d acc -> (node, d) :: acc) t.depth_max []
-  |> List.sort compare
+  let acc = ref [] in
+  for node = Array.length t.depth_max - 1 downto 0 do
+    if t.depth_max.(node) > 0 then acc := (node, t.depth_max.(node)) :: !acc
+  done;
+  !acc
 
-let queue_depth_max t =
-  Hashtbl.fold (fun _ d acc -> max d acc) t.depth_max 0
+let queue_depth_max t = Array.fold_left max 0 t.depth_max
 
 let queue_depth_mean t =
-  let n = Hashtbl.length t.depth_max in
-  if n = 0 then 0.
-  else
-    float_of_int (Hashtbl.fold (fun _ d acc -> acc + d) t.depth_max 0)
-    /. float_of_int n
+  let n, sum =
+    Array.fold_left
+      (fun (n, sum) d -> if d > 0 then (n + 1, sum + d) else (n, sum))
+      (0, 0) t.depth_max
+  in
+  if n = 0 then 0. else float_of_int sum /. float_of_int n
 
 (* --- Cooperative mutual exclusion ----------------------------------- *)
 

@@ -28,10 +28,10 @@ let every t ~period f =
 let pending t = Event_queue.length t.queue
 
 let step t =
-  match Event_queue.pop t.queue with
-  | None -> false
-  | Some (time, f) ->
-    t.clock <- time;
+  if Event_queue.is_empty t.queue then false
+  else begin
+    t.clock <- Event_queue.min_time t.queue;
+    let f = Event_queue.pop_min t.queue in
     (match t.probe with
     | None -> f ()
     | Some p -> (
@@ -47,14 +47,17 @@ let step t =
         p.after ();
         Printexc.raise_with_backtrace e bt));
     true
+  end
 
 let run t = while step t do () done
 
 let run_until t horizon =
   let continue = ref true in
   while !continue do
-    match Event_queue.peek_time t.queue with
-    | Some time when time <= horizon -> ignore (step t)
-    | Some _ | None -> continue := false
+    if
+      (not (Event_queue.is_empty t.queue))
+      && Event_queue.min_time t.queue <= horizon
+    then ignore (step t)
+    else continue := false
   done;
   if horizon > t.clock then t.clock <- horizon

@@ -97,22 +97,23 @@ let push t ~time payload =
   t.size <- i + 1;
   sift_up t i
 
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let time = t.times.(0) in
-    let payload : 'a = Obj.obj t.payloads.(0) in
-    let last = t.size - 1 in
-    t.times.(0) <- t.times.(last);
-    t.seqs.(0) <- t.seqs.(last);
-    t.payloads.(0) <- t.payloads.(last);
-    t.payloads.(last) <- dummy;
-    t.size <- last;
-    if last > 0 then sift_down t 0;
-    Some (time, payload)
-  end
+let min_time t =
+  if t.size = 0 then invalid_arg "Event_queue.min_time: empty queue";
+  t.times.(0)
 
-let peek_time t = if t.size = 0 then None else Some t.times.(0)
+(* Returns the bare payload: the caller reads the time first with
+   [min_time], so a pop allocates nothing. *)
+let pop_min t =
+  if t.size = 0 then invalid_arg "Event_queue.pop_min: empty queue";
+  let payload : 'a = Obj.obj t.payloads.(0) in
+  let last = t.size - 1 in
+  t.times.(0) <- t.times.(last);
+  t.seqs.(0) <- t.seqs.(last);
+  t.payloads.(0) <- t.payloads.(last);
+  t.payloads.(last) <- dummy;
+  t.size <- last;
+  if last > 0 then sift_down t 0;
+  payload
 
 let clear t =
   t.times <- [||];

@@ -17,11 +17,14 @@ val is_empty : 'a t -> bool
 val push : 'a t -> time:float -> 'a -> unit
 (** Schedule an event. O(log n). *)
 
-val pop : 'a t -> (float * 'a) option
-(** Remove and return the earliest event, or [None] if empty. Ties are
-    broken by insertion order. O(log n). *)
+val min_time : 'a t -> float
+(** Time of the earliest event, which {!pop_min} removes next.
+    @raise Invalid_argument if the queue is empty. *)
 
-val peek_time : 'a t -> float option
-(** Time of the earliest event without removing it. *)
+val pop_min : 'a t -> 'a
+(** Remove the earliest event and return its payload; read its time
+    first with {!min_time}. Ties are broken by insertion order.
+    O(log n), and allocates nothing.
+    @raise Invalid_argument if the queue is empty. *)
 
 val clear : 'a t -> unit

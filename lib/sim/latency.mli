@@ -2,11 +2,12 @@
 
     The paper measures message counts only; this model converts hop
     traces into wall-clock-style operation latencies so experiments can
-    also report latency distributions. Each ordered peer pair gets a
-    deterministic latency drawn once from a heavy-tailed distribution
-    (a base RTT plus exponential jitter) — the same pair always costs
-    the same, as on a real topology where peers have fixed network
-    distance. *)
+    also report latency distributions. Each ordered peer pair's latency
+    comes from a heavy-tailed distribution (a base RTT plus exponential
+    jitter) and is a pure function of (seed, src, dst): the same pair
+    always costs the same, as on a real topology where peers have fixed
+    network distance. Nothing is stored per pair, so a model serving
+    any number of distinct pairs stays the same size. *)
 
 type t
 
@@ -15,7 +16,10 @@ val create : ?seed:int -> ?base_ms:float -> ?jitter_ms:float -> unit -> t
     adds an exponential tail with the given mean (default 60.). *)
 
 val of_pair : t -> src:int -> dst:int -> float
-(** One-way latency in milliseconds for this ordered pair.
+(** One-way latency in milliseconds for this ordered pair: the first
+    draw of [Rng.float _ 1.0] from
+    [Rng.create (seed + src * 1_000_003 + dst * 7919)], mapped through
+    the jitter distribution, computed without building the generator.
     Deterministic: repeated calls return the same value. *)
 
 val measure : t -> Bus.t -> (unit -> 'a) -> 'a * float

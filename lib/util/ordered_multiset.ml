@@ -182,25 +182,28 @@ let union a b =
   in
   fold_add small large
 
+(* [cnt] copies of [key] consed onto [acc]. *)
+let rec rep key cnt acc = if cnt = 0 then acc else rep key (cnt - 1) (key :: acc)
+
 let elements t =
   let rec go t acc =
     match t with
     | Empty -> acc
-    | Node { l; key; cnt; r; _ } ->
-      let rec rep acc i = if i = 0 then acc else rep (key :: acc) (i - 1) in
-      go l (rep (go r acc) cnt)
+    | Node { l; key; cnt; r; _ } -> go l (rep key cnt (go r acc))
   in
   go t []
 
-let rec elements_in ~lo ~hi = function
-  | Empty -> []
+(* Right to left onto the accumulator, like [elements]: every matching
+   key is consed exactly once and nothing else is allocated. *)
+let rec prepend_in ~lo ~hi t acc =
+  match t with
+  | Empty -> acc
   | Node { l; key; cnt; r; _ } ->
-    if key < lo then elements_in ~lo ~hi r
-    else if key > hi then elements_in ~lo ~hi l
-    else
-      elements_in ~lo ~hi l
-      @ List.init cnt (fun _ -> key)
-      @ elements_in ~lo ~hi r
+    if key < lo then prepend_in ~lo ~hi r acc
+    else if key > hi then prepend_in ~lo ~hi l acc
+    else prepend_in ~lo ~hi l (rep key cnt (prepend_in ~lo ~hi r acc))
+
+let elements_in ~lo ~hi t = prepend_in ~lo ~hi t []
 
 let rec count_below pivot = function
   (* elements strictly below pivot *)

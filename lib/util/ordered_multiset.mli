@@ -42,7 +42,14 @@ val elements : t -> int list
 (** Ascending, with multiplicity. *)
 
 val elements_in : lo:int -> hi:int -> t -> int list
-(** Ascending elements in the closed interval, with multiplicity. *)
+(** Ascending elements in the closed interval, with multiplicity.
+    O(log n + k) for k answers; allocates only the k cons cells. *)
+
+val prepend_in : lo:int -> hi:int -> t -> int list -> int list
+(** [prepend_in ~lo ~hi t acc] is [elements_in ~lo ~hi t @ acc] without
+    the copy: the answers are consed straight onto [acc]. Lets a caller
+    assemble one ascending list from several disjoint trees, visited
+    right to left. *)
 
 val count_in : lo:int -> hi:int -> t -> int
 (** Cardinality of the closed interval without materialising it. *)

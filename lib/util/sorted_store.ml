@@ -21,6 +21,11 @@ let min_key t = M.min_elt t.set
 let max_key t = M.max_elt t.set
 let nth t i = M.nth i t.set
 let keys_in t ~lo ~hi = M.elements_in ~lo ~hi t.set
+
+type view = M.t
+
+let view t = t.set
+let prepend_keys_in v ~lo ~hi acc = M.prepend_in ~lo ~hi v acc
 let count_in t ~lo ~hi = M.count_in ~lo ~hi t.set
 
 let take_split (a, b) t =

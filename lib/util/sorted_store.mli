@@ -3,9 +3,10 @@
     Each BATON peer manages the data whose keys fall inside its range.
     Backed by {!Ordered_multiset} (an order-statistics AVL tree), so
     inserts, removals, rank queries and splits are all O(log n) and
-    range extraction is O(log n + answer size). Duplicate keys are
-    allowed (the paper explicitly discusses duplicate partition
-    keys). *)
+    range extraction is O(log n + answer size): the tree walk skips
+    every subtree outside the interval and allocates nothing but one
+    cons cell per answer. Duplicate keys are allowed (the paper
+    explicitly discusses duplicate partition keys). *)
 
 type t
 
@@ -36,7 +37,21 @@ val nth : t -> int -> int
     @raise Invalid_argument if out of range. *)
 
 val keys_in : t -> lo:int -> hi:int -> int list
-(** All keys in [\[lo, hi\]] (inclusive), in ascending order. *)
+(** All keys in [\[lo, hi\]] (inclusive), in ascending order.
+    O(log n + k) for k answers. *)
+
+type view
+(** An immutable snapshot of a store's contents. *)
+
+val view : t -> view
+(** The store's current contents, in O(1) and without copying: later
+    inserts and removals on [t] do not show in the view. *)
+
+val prepend_keys_in : view -> lo:int -> hi:int -> int list -> int list
+(** [prepend_keys_in v ~lo ~hi acc] conses the view's keys in
+    [\[lo, hi\]], ascending, onto the front of [acc]. Folding it over
+    the views of several peers with disjoint ranges, rightmost first,
+    builds their joint answer with one cons cell per key. *)
 
 val count_in : t -> lo:int -> hi:int -> int
 (** Number of keys in [\[lo, hi\]] without materialising them. *)

@@ -135,6 +135,102 @@ let search_prop =
       done;
       !ok)
 
+(* Reference for [Search.next_hop], built as a full candidate list:
+   every admissible sideways entry farthest first, then the child and
+   the adjacent node on the target's side; the parent is appended as
+   the escape hop once something was tried; the first untried entry
+   wins. *)
+let reference_next_hop (node : Node.t) v ~tried =
+  let side = if Range.is_left_of node.Node.range v then `Right else `Left in
+  let admissible (i : Baton.Link.info) =
+    match side with
+    | `Right -> i.Baton.Link.range.Range.lo <= v
+    | `Left -> i.Baton.Link.range.Range.hi > v
+  in
+  let candidates =
+    (Baton.Routing_table.entries (Node.table node side)
+    |> List.rev_map snd |> List.filter admissible)
+    @ List.filter_map Fun.id [ Node.child node side; Node.adjacent node side ]
+  in
+  match candidates with
+  | [] -> `Boundary
+  | primary -> (
+    let escape =
+      match Node.parent node with Some p when tried <> [] -> [ p ] | _ -> []
+    in
+    let fresh (i : Baton.Link.info) = not (List.mem i.Baton.Link.peer tried) in
+    match List.filter fresh (primary @ escape) with
+    | [] -> `Exhausted
+    | i :: _ -> `Hop i.Baton.Link.peer)
+
+let next_hop_matches_reference_prop =
+  let open QCheck2 in
+  Test.make ~name:"next_hop returns the list-based reference's head" ~count:40
+    Gen.(pair (int_range 1 300) (int_range 0 100_000))
+    (fun (n, salt) ->
+      let net = N.build ~seed:(7000 + salt) n in
+      let rng = Rng.create salt in
+      let ok = ref true in
+      for _ = 1 to 200 do
+        let node = Net.random_peer net in
+        (* Targets also fall outside the domain, where the edge nodes
+           have no forward link. *)
+        let v = Rng.int_in_range rng ~lo:(-100_000_000) ~hi:1_100_000_000 in
+        if not (Range.contains node.Node.range v) then begin
+          let links =
+            List.map (fun (_, (i : Baton.Link.info)) -> i.Baton.Link.peer)
+              (Node.neighbor_entries node)
+            @ List.filter_map
+                (Option.map (fun (i : Baton.Link.info) -> i.Baton.Link.peer))
+                [
+                  Node.parent node;
+                  Node.child node `Left;
+                  Node.child node `Right;
+                  Node.adjacent node `Left;
+                  Node.adjacent node `Right;
+                ]
+          in
+          (* Now and then the node loses a link, so absent children,
+             adjacents and sideways entries occur mid-tree too. *)
+          if links <> [] && Rng.int rng 4 = 0 then
+            Node.drop_links_for_peer node (Rng.pick_list rng links);
+          let tried =
+            if Rng.int rng 4 = 0 then links
+            else List.filter (fun _ -> Rng.bool rng) links
+          in
+          let got =
+            match Search.next_hop node v ~tried with
+            | Search.Hop i -> `Hop i.Baton.Link.peer
+            | Search.Exhausted -> `Exhausted
+            | Search.Boundary -> `Boundary
+          in
+          if got <> reference_next_hop node v ~tried then ok := false
+        end
+      done;
+      !ok)
+
+(* A boundary node stays a boundary node whatever was tried; a node
+   whose every forward link was tried is exhausted, not a boundary. *)
+let test_next_hop_boundary_vs_exhausted () =
+  let net = N.build ~seed:5 60 in
+  let leftmost =
+    List.find
+      (fun (n : Node.t) -> Range.contains n.Node.range 1)
+      (Net.peers net)
+  in
+  let all_peers = List.map (fun (n : Node.t) -> n.Node.id) (Net.peers net) in
+  let is_boundary = function Search.Boundary -> true | _ -> false in
+  let is_exhausted = function Search.Exhausted -> true | _ -> false in
+  Alcotest.(check bool) "below the domain: boundary" true
+    (is_boundary (Search.next_hop leftmost (-5) ~tried:[]));
+  Alcotest.(check bool) "boundary even with everything tried" true
+    (is_boundary (Search.next_hop leftmost (-5) ~tried:all_peers));
+  Alcotest.(check bool) "forward links all tried: exhausted" true
+    (is_exhausted (Search.next_hop leftmost 999_999_999 ~tried:all_peers));
+  match Search.next_hop leftmost 999_999_999 ~tried:[] with
+  | Search.Hop _ -> ()
+  | Search.Exhausted | Search.Boundary -> Alcotest.fail "expected a hop"
+
 let suite =
   [
     Alcotest.test_case "reaches responsible node" `Quick test_exact_reaches_responsible_node;
@@ -147,4 +243,7 @@ let suite =
     Alcotest.test_case "range validation" `Quick test_range_validation;
     Alcotest.test_case "out-of-domain routing" `Quick test_values_outside_domain_route_to_edges;
     QCheck_alcotest.to_alcotest search_prop;
+    QCheck_alcotest.to_alcotest next_hop_matches_reference_prop;
+    Alcotest.test_case "next_hop boundary vs exhausted" `Quick
+      test_next_hop_boundary_vs_exhausted;
   ]

@@ -89,6 +89,38 @@ let test_measure_composes_with_other_subscribers () =
   Bus.unsubscribe bus cli;
   Alcotest.(check int) "only cli left to remove" 0 (Bus.subscriber_count bus)
 
+(* Reference: a fresh generator per pair, its first draw mapped through
+   the jitter distribution. [of_pair] must equal it bit for bit. *)
+let reference ~seed ~base_ms ~jitter_ms ~src ~dst =
+  let rng = Baton_util.Rng.create (seed + (src * 1_000_003) + (dst * 7919)) in
+  let u = Baton_util.Rng.float rng 1.0 in
+  base_ms +. (-.jitter_ms *. log (1. -. (u *. 0.999)))
+
+let of_pair_matches_generator_prop =
+  let open QCheck2 in
+  Test.make ~name:"of_pair equals the generator-based draw bit for bit"
+    ~count:2000
+    Gen.(
+      quad (int_range (-1_000_000) 1_000_000) (int_bound 10_000_000)
+        (int_bound 10_000_000) (pair (float_bound_inclusive 100.) (float_bound_inclusive 200.)))
+    (fun (seed, src, dst, (base_ms, jitter_ms)) ->
+      let l = Latency.create ~seed ~base_ms ~jitter_ms () in
+      Int64.equal
+        (Int64.bits_of_float (Latency.of_pair l ~src ~dst))
+        (Int64.bits_of_float (reference ~seed ~base_ms ~jitter_ms ~src ~dst)))
+
+let test_no_per_pair_state () =
+  let l = Latency.create ~seed:11 () in
+  let before = Obj.reachable_words (Obj.repr l) in
+  let sum = ref 0. in
+  for i = 0 to 99_999 do
+    sum := !sum +. Latency.of_pair l ~src:i ~dst:(i + 1)
+  done;
+  Alcotest.(check bool) "values drawn" true (!sum > 0.);
+  Alcotest.(check int) "10^5 distinct pairs leave the model's size unchanged"
+    before
+    (Obj.reachable_words (Obj.repr l))
+
 let suite =
   [
     Alcotest.test_case "deterministic per pair" `Quick test_deterministic_per_pair;
@@ -99,4 +131,6 @@ let suite =
     Alcotest.test_case "measure zero" `Quick test_measure_zero_messages;
     Alcotest.test_case "measure composes with subscribers" `Quick
       test_measure_composes_with_other_subscribers;
+    QCheck_alcotest.to_alcotest of_pair_matches_generator_prop;
+    Alcotest.test_case "no per-pair state" `Quick test_no_per_pair_state;
   ]

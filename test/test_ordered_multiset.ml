@@ -2,6 +2,7 @@
    qcheck model vs sorted list. *)
 
 module M = Baton_util.Ordered_multiset
+module Store = Baton_util.Sorted_store
 
 let of_list l = List.fold_left (fun acc k -> M.add k acc) M.empty l
 
@@ -141,6 +142,58 @@ let model_prop =
       M.check !t;
       M.elements !t = !model)
 
+(* Interval extraction, both through the tree ([elements_in]) and
+   through a store view ([prepend_keys_in] onto a non-empty tail), must
+   be exactly the filter of the full element list. Keys come from a
+   small domain so duplicates are common, and bounds range past both
+   ends so [lo > hi], points and empty answers all occur. *)
+let interval_prop =
+  let open QCheck2 in
+  Test.make ~name:"elements_in and view reads equal List.filter over elements"
+    ~count:500
+    Gen.(
+      triple (list_size (int_bound 60) (int_bound 30)) (int_range (-2) 32)
+        (int_range (-2) 32))
+    (fun (keys, lo, hi) ->
+      let t = of_list keys in
+      let expect = List.filter (fun k -> lo <= k && k <= hi) (M.elements t) in
+      let store = Store.of_list keys in
+      let view = Store.view store in
+      let tail = [ 1_000; 1_001 ] in
+      let via_view = Store.prepend_keys_in view ~lo ~hi tail in
+      (* A view is a snapshot: later writes to the store do not show. *)
+      Store.insert store lo;
+      ignore (Store.remove store hi : bool);
+      M.elements_in ~lo ~hi t = expect
+      && Store.keys_in (Store.of_list keys) ~lo ~hi = expect
+      && via_view = expect @ tail
+      && Store.prepend_keys_in view ~lo ~hi [] = expect)
+
+(* Reading k keys conses k cells (3 words each) and allocates nothing
+   else beyond a constant: no copying per tree level. *)
+let test_interval_allocation () =
+  let t = of_list (List.init 4_096 Fun.id) in
+  let store = Store.of_list (List.init 4_096 Fun.id) in
+  List.iter
+    (fun k ->
+      let lo = (4_096 - k) / 2 in
+      let hi = lo + k - 1 in
+      let measure read =
+        let before = Gc.minor_words () in
+        let keys = read () in
+        let words = Gc.minor_words () -. before in
+        Alcotest.(check int) (Printf.sprintf "%d keys read" k) k (List.length keys);
+        Alcotest.(check bool)
+          (Printf.sprintf "k=%d: %.0f words <= 3k + 64" k words)
+          true
+          (words <= float_of_int ((3 * k) + 64))
+      in
+      measure (fun () -> M.elements_in ~lo ~hi t);
+      measure (fun () -> Store.keys_in store ~lo ~hi);
+      let view = Store.view store in
+      measure (fun () -> Store.prepend_keys_in view ~lo ~hi []))
+    [ 0; 1; 17; 500; 2_048; 4_096 ]
+
 let suite =
   [
     Alcotest.test_case "empty" `Quick test_empty;
@@ -153,4 +206,6 @@ let suite =
     Alcotest.test_case "interval queries" `Quick test_ranges;
     Alcotest.test_case "sequential insert balance" `Quick test_balance_under_sequential_insertions;
     QCheck_alcotest.to_alcotest model_prop;
+    QCheck_alcotest.to_alcotest interval_prop;
+    Alcotest.test_case "interval read allocation" `Quick test_interval_allocation;
   ]

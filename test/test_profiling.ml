@@ -303,6 +303,39 @@ let test_bench_diff_throughput_regress () =
       (Bench_diff.exit_code (Bench_diff.Throughput_regress lines))
   | v -> Alcotest.failf "expected throughput regress: %s" (Bench_diff.render v)
 
+(* Minor words per event are gated tightly: 5% more passes, 20% more
+   fails with exit 4, and the check names the run. *)
+let test_bench_diff_alloc_regress () =
+  let old_doc = bench_doc ~profile:true in
+  let words =
+    match
+      Option.bind
+        (Option.bind
+           (Option.bind (Json.member "overlays" old_doc) (function
+             | Json.List (s :: _) -> Json.member "runs" s
+             | _ -> None))
+           (function Json.List (r :: _) -> Json.member "profile" r | _ -> None))
+        (fun p -> Option.bind (Json.member "gc" p) (Json.member "minor_words"))
+    with
+    | Some (Json.Float f) -> f
+    | Some (Json.Int i) -> float_of_int i
+    | _ -> Alcotest.fail "no profile.gc.minor_words in the bench document"
+  in
+  let inflated by = rewrite "minor_words" (Json.Float (words *. by)) old_doc in
+  (match
+     Bench_diff.compare ~max_regress_pct:99. ~old_doc ~new_doc:(inflated 1.05)
+   with
+  | Bench_diff.Pass _ -> ()
+  | v -> Alcotest.failf "5%% more words should pass: %s" (Bench_diff.render v));
+  match
+    Bench_diff.compare ~max_regress_pct:99. ~old_doc ~new_doc:(inflated 1.2)
+  with
+  | Bench_diff.Alloc_regress lines ->
+    Alcotest.(check int) "one regressed run" 1 (List.length lines);
+    Alcotest.(check int) "exit 4" 4
+      (Bench_diff.exit_code (Bench_diff.Alloc_regress lines))
+  | v -> Alcotest.failf "expected allocation regress: %s" (Bench_diff.render v)
+
 let test_bench_diff_schema_mismatch () =
   let old_doc = bench_doc ~profile:false in
   let new_doc = rewrite "schema" (Json.String "baton-bench-runtime-v4") old_doc in
@@ -381,6 +414,8 @@ let suite =
       test_bench_diff_ignores_profile_drift;
     Alcotest.test_case "bench-diff throughput regress" `Quick
       test_bench_diff_throughput_regress;
+    Alcotest.test_case "bench-diff allocation regress" `Quick
+      test_bench_diff_alloc_regress;
     Alcotest.test_case "bench-diff schema mismatch" `Quick
       test_bench_diff_schema_mismatch;
     Alcotest.test_case "bench-diff unprofiled docs" `Quick

@@ -5,12 +5,20 @@ module Engine = Baton_sim.Engine
 module Metrics = Baton_sim.Metrics
 module Bus = Baton_sim.Bus
 
+(* An option-returning pop built from [min_time] and [pop_min], through
+   which the model checks below drive the queue. *)
+let pop q =
+  if Event_queue.is_empty q then None
+  else
+    let time = Event_queue.min_time q in
+    Some (time, Event_queue.pop_min q)
+
 let test_queue_orders_by_time () =
   let q = Event_queue.create () in
   Event_queue.push q ~time:3. "c";
   Event_queue.push q ~time:1. "a";
   Event_queue.push q ~time:2. "b";
-  let pop () = match Event_queue.pop q with Some (_, v) -> v | None -> "?" in
+  let pop () = match pop q with Some (_, v) -> v | None -> "?" in
   (* Bind sequentially: list literals evaluate right to left. *)
   let first = pop () in
   let second = pop () in
@@ -23,14 +31,23 @@ let test_queue_fifo_ties () =
   for i = 1 to 5 do
     Event_queue.push q ~time:1. i
   done;
-  let order = List.init 5 (fun _ -> match Event_queue.pop q with Some (_, v) -> v | None -> 0) in
+  let order = List.init 5 (fun _ -> match pop q with Some (_, v) -> v | None -> 0) in
   Alcotest.(check (list int)) "insertion order on ties" [ 1; 2; 3; 4; 5 ] order
 
 let test_queue_peek () =
   let q = Event_queue.create () in
-  Alcotest.(check (option (float 0.0))) "peek empty" None (Event_queue.peek_time q);
+  Alcotest.check_raises "min_time on empty"
+    (Invalid_argument "Event_queue.min_time: empty queue") (fun () ->
+      ignore (Event_queue.min_time q : float));
+  Alcotest.check_raises "pop_min on empty"
+    (Invalid_argument "Event_queue.pop_min: empty queue") (fun () ->
+      Event_queue.pop_min q);
   Event_queue.push q ~time:4. ();
-  Alcotest.(check (option (float 0.0))) "peek" (Some 4.) (Event_queue.peek_time q)
+  Event_queue.push q ~time:2. ();
+  Alcotest.(check (float 0.0)) "min_time" 2. (Event_queue.min_time q);
+  Alcotest.(check int) "min_time does not remove" 2 (Event_queue.length q);
+  Event_queue.pop_min q;
+  Alcotest.(check (float 0.0)) "next min_time" 4. (Event_queue.min_time q)
 
 let queue_model_prop =
   let open QCheck2 in
@@ -40,7 +57,7 @@ let queue_model_prop =
       let q = Event_queue.create () in
       List.iteri (fun i t -> Event_queue.push q ~time:(float_of_int t) (i, t)) times;
       let rec drain acc =
-        match Event_queue.pop q with
+        match pop q with
         | Some (_, v) -> drain (v :: acc)
         | None -> List.rev acc
       in
@@ -81,7 +98,7 @@ let queue_interleaved_prop =
               model := tl;
               Some x
           in
-          Event_queue.pop q = expected)
+          pop q = expected)
         else begin
           let id = !next in
           incr next;
@@ -104,7 +121,7 @@ let queue_tie_fifo_prop =
         Event_queue.push q ~time:7. i
       done;
       List.init n (fun _ ->
-          match Event_queue.pop q with Some (_, v) -> v | None -> -1)
+          match pop q with Some (_, v) -> v | None -> -1)
       = List.init n Fun.id)
 
 let test_engine_order_and_clock () =
